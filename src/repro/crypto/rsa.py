@@ -8,15 +8,21 @@ plaintext while the private key is in ciphertext."), and enclave owners.
 Key generation uses Miller-Rabin with 1024-bit moduli — small by modern
 deployment standards but honest in structure, and fast enough that tests
 can generate fresh keys.  Signing is full-block EMSA-style padding over a
-SHA-256 digest.
+SHA-256 digest, computed with the Chinese Remainder Theorem: two
+half-size exponentiations mod ``p`` and ``q`` instead of one mod ``n``,
+about three times faster and the same bytes as ``pow(m, d, n)``.  The CRT
+components live in a small memo keyed on ``(n, e, d)``: key generation
+fills it for free, and a key rebuilt from ``(n, e, d)`` alone (the
+in-enclave image key) recovers ``p`` and ``q`` from its exponents once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from repro.crypto.hashes import sha256
-from repro.errors import SignatureError
+from repro.errors import CryptoError, SignatureError
 from repro.sim.rng import DeterministicRng
 
 _SMALL_PRIMES = (
@@ -117,8 +123,73 @@ class RsaPrivateKey:
         return (self.n.bit_length() + 7) // 8
 
     def sign(self, message: bytes) -> bytes:
+        """Sign ``message``; raises :class:`CryptoError` if ``d`` does not
+        belong to ``(n, e)``."""
         padded = _pad_digest(sha256(message), self.modulus_bytes)
-        return pow(padded, self.d, self.n).to_bytes(self.modulus_bytes, "big")
+        p, q, dp, dq, q_inv = _crt_components(self.n, self.e, self.d)
+        s_p = pow(padded, dp, p)
+        s_q = pow(padded, dq, q)
+        signature = s_q + q * ((q_inv * (s_p - s_q)) % p)
+        return signature.to_bytes(self.modulus_bytes, "big")
+
+
+#: CRT components ``(p, q, d mod p-1, d mod q-1, q^-1 mod p)`` by
+#: ``(n, e, d)``; oldest entry evicted first past ``_CRT_MEMO_MAX``.
+_CRT_MEMO: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
+_CRT_MEMO_MAX = 1024
+#: Bases tried when factoring ``n`` from ``(e, d)``.  A base fails to
+#: split ``n`` about half the time, so a hundred failures in a row
+#: happen, in practice, only when ``d`` is wrong.
+_RECOVERY_BASES = range(2, 102)
+
+
+def _crt_components(n: int, e: int, d: int) -> tuple[int, int, int, int, int]:
+    crt = _CRT_MEMO.get((n, e, d))
+    if crt is None:
+        primes = _recover_primes(n, e, d)
+        if primes is None:
+            raise CryptoError("RSA private exponent does not match the public key")
+        crt = _remember_crt(n, e, d, *primes)
+    return crt
+
+
+def _remember_crt(n: int, e: int, d: int, p: int, q: int) -> tuple[int, int, int, int, int]:
+    if len(_CRT_MEMO) >= _CRT_MEMO_MAX:
+        del _CRT_MEMO[next(iter(_CRT_MEMO))]
+    crt = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
+    _CRT_MEMO[(n, e, d)] = crt
+    return crt
+
+
+def _recover_primes(n: int, e: int, d: int) -> tuple[int, int] | None:
+    """Factor ``n`` from its exponents (NIST SP 800-56B, Appendix C).
+
+    ``k = e*d - 1`` is a multiple of the group exponent, so for most
+    bases ``g`` the chain ``g^r, g^2r, ..., g^k = 1`` (``k = 2^t r``, ``r``
+    odd) passes a square root of 1 other than ±1, whose ``gcd`` with
+    ``n`` is a prime.  Returns None if ``d`` does not belong to ``(n, e)``.
+    """
+    k = e * d - 1
+    if k <= 0:
+        return None
+    t = (k & -k).bit_length() - 1
+    r = k >> t
+    for g in _RECOVERY_BASES:
+        y = pow(g, r, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(t):
+            x = y * y % n
+            if x == n - 1:
+                break
+            if x == 1:
+                p = gcd(y - 1, n)
+                q = n // p
+                return (p, q) if k % (p - 1) == 0 and k % (q - 1) == 0 else None
+            y = x
+        else:
+            return None  # g^k != 1: k is no multiple of the group exponent
+    return None
 
 
 #: Keygen memo: deterministic seeds always produce the same key, so the
@@ -151,4 +222,6 @@ def _generate_rsa_keypair_uncached(rng: DeterministicRng, bits: int) -> RsaPriva
         phi = (p - 1) * (q - 1)
         if phi % e == 0:
             continue
-        return RsaPrivateKey(n=p * q, e=e, d=pow(e, -1, phi))
+        n, d = p * q, pow(e, -1, phi)
+        _remember_crt(n, e, d, p, q)
+        return RsaPrivateKey(n=n, e=e, d=d)

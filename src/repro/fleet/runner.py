@@ -14,7 +14,10 @@ into one *fleet timeline* with a deterministic admission model:
   deterministic fleet times;
 * per-migration downtime feeds one mergeable
   :class:`~repro.telemetry.sketch.QuantileSketch` — the fleet p50/p99
-  the console and ``BENCH_fleet.json`` report.
+  the console and ``BENCH_fleet.json`` report;
+* members share the fleet's long-lived RSA keys, as a real fleet
+  would: one IAS, vendor and image key per fleet, one attestation key
+  per host (:class:`~repro.migration.testbed.KeySource`).
 
 Because execution is serial Python over virtual clocks, the whole run
 is a pure function of its configuration: same seeds → byte-identical
@@ -104,6 +107,10 @@ class FleetConfig:
     def seed_for(self, index: int) -> str:
         base = self.seeds[index % len(self.seeds)]
         return f"{base}/mig{index:04d}"
+
+    def key_seed(self) -> str:
+        """Seed of the fleet's long-lived RSA keys, shared by every member."""
+        return "fleet-keys/" + ",".join(str(s) for s in self.seeds)
 
     def mig_id(self, index: int) -> str:
         base = self.seeds[index % len(self.seeds)]
@@ -473,7 +480,7 @@ class FleetRunner:
         from repro.faults import FaultInjector, parse_fault_spec
         from repro.migration.chain import run_chain
         from repro.migration.orchestrator import MigrationOrchestrator
-        from repro.migration.testbed import build_testbed
+        from repro.migration.testbed import KeySource, build_testbed
         from repro.sdk import AtomicEntry, EnclaveProgram, HostApplication
         from repro.telemetry.otlp import default_resource, to_otlp_traces
 
@@ -482,7 +489,13 @@ class FleetRunner:
         seed = config.seed_for(index)
         faulted = config.faulted(index)
 
-        tb = build_testbed(seed=seed)
+        # One IAS, vendor and image key per fleet and one attestation key
+        # per host; the rest of each member's randomness keeps its seed.
+        if self.hosts is not None:
+            platforms = tuple(f"host{h}" for h in self.hosts.place(index))
+        else:
+            platforms = ("source", "target")
+        tb = build_testbed(seed=seed, keys=KeySource(config.key_seed(), platforms))
         telemetry = tb.telemetry
         telemetry.flightrecorder.namespace = mig_id
         telemetry.ensure_bus()

@@ -29,6 +29,7 @@ class Machine:
         rng: DeterministicRng,
         costs: CostModel = DEFAULT_COSTS,
         epc_pages: int = 8192,
+        key_rng: DeterministicRng | None = None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -39,6 +40,9 @@ class Machine:
         self.hypervisor = Hypervisor(clock, costs, trace, self.cpu)
         self.qemu = QemuMonitor(self.hypervisor)
         self.quoting_enclave: QuotingEnclave | None = None
+        #: Where the platform attestation key derives from (None: the
+        #: CPU's RNG, i.e. from this machine's seed).
+        self.key_rng = key_rng
         #: Stable storage shared by the testbed (set by ``build_testbed``);
         #: when present, enclave libraries on this machine keep write-ahead
         #: journals on it.  None for machines built outside a testbed.
@@ -48,7 +52,7 @@ class Machine:
 
     def provision(self, ias: AttestationService) -> None:
         """Manufacture-time step: install a QE and register with IAS."""
-        self.quoting_enclave = provision_platform(self.cpu, ias)
+        self.quoting_enclave = provision_platform(self.cpu, ias, self.key_rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Machine {self.name}>"

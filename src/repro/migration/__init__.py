@@ -16,10 +16,11 @@
 
 from repro.migration.checkpoint import EnclaveCheckpoint, open_checkpoint, seal_checkpoint
 from repro.migration.orchestrator import MigrationOrchestrator
-from repro.migration.testbed import Testbed, build_testbed
+from repro.migration.testbed import KeySource, Testbed, build_testbed
 
 __all__ = [
     "EnclaveCheckpoint",
+    "KeySource",
     "MigrationOrchestrator",
     "Testbed",
     "build_testbed",

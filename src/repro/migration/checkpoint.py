@@ -21,6 +21,7 @@ under K_migrate (random, §IV) or the owner's K_encrypt (§V-C snapshots).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
 from repro.crypto.hashes import sha256
@@ -29,6 +30,13 @@ from repro.errors import ChunkError, RestoreError
 from repro.serde import SerdeError, pack, unpack
 
 _CKPT_MAGIC = b"ECKPT2\x00"
+
+
+def _checked(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind``; :class:`SerdeError` otherwise."""
+    if not isinstance(value, kind):
+        raise SerdeError(f"malformed checkpoint: {what} is not a {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -108,46 +116,62 @@ class EnclaveCheckpoint:
         except SerdeError as exc:
             raise SerdeError(f"malformed checkpoint header: {exc}") from exc
         cursor += header_len
+        fields = _checked(fields, dict, "the header")
         pages: dict[int, bytes] = {}
-        for vaddr, n_bytes in fields["page_index"]:
+        for entry in _checked(fields.get("page_index"), list, "'page_index'"):
+            if not (
+                isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, int) for v in entry)
+            ):
+                raise SerdeError("malformed checkpoint: page_index entry is not [vaddr, length]")
+            vaddr, n_bytes = entry
             page = bytes(view[cursor : cursor + n_bytes])
             if len(page) != n_bytes:
                 raise SerdeError("checkpoint page data truncated")
-            pages[int(vaddr)] = page
+            pages[vaddr] = page
             cursor += n_bytes
         if cursor != len(blob):
             raise SerdeError("checkpoint carries trailing bytes past the page index")
-        return EnclaveCheckpoint(
-            image_name=fields["image_name"],
-            code_id=fields["code_id"],
-            mrenclave=fields["mrenclave"],
-            sequence=fields["sequence"],
-            pages=pages,
-            tcs_states=[
-                TcsState(t["index"], t["cssa"], t["flag"]) for t in fields["tcs"]
-            ],
-            skipped_pages=list(fields["skipped"]),
-            # Absent in blobs sealed before the storage-handoff step
-            # existed; 0 means "no storage constraint", so old captures
-            # keep restoring.
-            storage_version=int(fields.get("storage_version", 0)),
-        )
+        return EnclaveCheckpoint._from_fields(fields, pages)
 
     @staticmethod
     def _from_legacy_bytes(blob: bytes) -> "EnclaveCheckpoint":
         """Parse the original all-JSON checkpoint (pre-v2 journals)."""
-        fields = unpack(blob)
+        fields = _checked(unpack(blob), dict, "the checkpoint")
+        pages: dict[int, bytes] = {}
+        for vaddr, data in _checked(fields.get("pages"), dict, "'pages'").items():
+            try:
+                pages[int(vaddr, 16)] = _checked(data, bytes, "a page")
+            except ValueError as exc:
+                raise SerdeError(f"malformed checkpoint page address {vaddr!r}") from exc
+        return EnclaveCheckpoint._from_fields(fields, pages)
+
+    @staticmethod
+    def _from_fields(fields: dict, pages: dict[int, bytes]) -> "EnclaveCheckpoint":
+        """Build a checkpoint from a decoded header, checking every field's type."""
+
+        def get(name: str, kind: type) -> Any:
+            return _checked(fields.get(name), kind, repr(name))
+
+        tcs_states = []
+        for state in get("tcs", list):
+            state = _checked(state, dict, "a TCS state")
+            tcs_states.append(
+                TcsState(
+                    *(_checked(state.get(k), int, f"TCS {k!r}") for k in ("index", "cssa", "flag"))
+                )
+            )
         return EnclaveCheckpoint(
-            image_name=fields["image_name"],
-            code_id=fields["code_id"],
-            mrenclave=fields["mrenclave"],
-            sequence=fields["sequence"],
-            pages={int(vaddr, 16): data for vaddr, data in fields["pages"].items()},
-            tcs_states=[
-                TcsState(t["index"], t["cssa"], t["flag"]) for t in fields["tcs"]
-            ],
-            skipped_pages=list(fields["skipped"]),
-            storage_version=int(fields.get("storage_version", 0)),
+            image_name=get("image_name", str),
+            code_id=get("code_id", str),
+            mrenclave=get("mrenclave", bytes),
+            sequence=get("sequence", int),
+            pages=pages,
+            tcs_states=tcs_states,
+            skipped_pages=[_checked(v, int, "a skipped page") for v in get("skipped", list)],
+            # Absent in blobs sealed before the storage-handoff step
+            # existed; 0 means "no storage constraint", so old captures
+            # keep restoring.
+            storage_version=_checked(fields.get("storage_version", 0), int, "'storage_version'"),
         )
 
 

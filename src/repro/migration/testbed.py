@@ -28,6 +28,22 @@ from repro.sim.trace import EventTrace
 from repro.telemetry import Telemetry
 
 
+@dataclass(frozen=True)
+class KeySource:
+    """Where a testbed's long-lived RSA keys come from.
+
+    ``seed`` roots the IAS key, the vendor key and the image keys; each
+    platform's attestation key derives from ``seed`` and its label in
+    ``platforms`` (source, target).  Testbeds built from equal seeds and
+    labels share those keys, and ``generate_rsa_keypair``'s seed memo
+    serves the repeats.  The testbed's other randomness (nonces, DH
+    secrets, the owner's seal keys, CPU ids) keeps the testbed seed.
+    """
+
+    seed: str
+    platforms: tuple[str, str]
+
+
 @dataclass
 class Testbed:
     """Everything a migration scenario needs."""
@@ -65,12 +81,15 @@ def build_testbed(
     working_set_pages: int | None = None,
     dirty_rate_pps: int = 2_000,
     malicious_scheduler: bool = False,
+    keys: KeySource | None = None,
 ) -> Testbed:
     """Build the two-laptop setup of §VIII.
 
     ``malicious_scheduler`` makes the *source* guest OS lie about
     stopping threads (the §IV-A adversary); everything else stays honest
     so tests can show the attack is real and the defense works.
+    ``keys`` says where the long-lived RSA keys come from; by default
+    every key derives from ``seed``.
     """
     clock = VirtualClock()
     trace = EventTrace(clock)
@@ -78,11 +97,24 @@ def build_testbed(
     rng = DeterministicRng(seed)
     network = Network(clock, costs, trace)
 
-    ias_key = KeyPair(generate_rsa_keypair(rng.fork("ias-key")), "ias")
+    if keys is None:
+        # IAS and vendor keys from the testbed seed, image keys from the
+        # builder's RNG, attestation keys from each CPU's RNG.
+        key_rng, image_rng, platform_rngs = rng, None, (None, None)
+    else:
+        key_rng = DeterministicRng(keys.seed)
+        image_rng = key_rng.fork("images")
+        platform_rngs = tuple(key_rng.fork(f"platform/{label}") for label in keys.platforms)
+
+    ias_key = KeyPair(generate_rsa_keypair(key_rng.fork("ias-key")), "ias")
     ias = AttestationService(clock, costs, ias_key)
 
-    source = Machine("source", clock, trace, rng, costs, epc_pages=epc_pages)
-    target = Machine("target", clock, trace, rng, costs, epc_pages=epc_pages)
+    source = Machine(
+        "source", clock, trace, rng, costs, epc_pages=epc_pages, key_rng=platform_rngs[0]
+    )
+    target = Machine(
+        "target", clock, trace, rng, costs, epc_pages=epc_pages, key_rng=platform_rngs[1]
+    )
     source.provision(ias)
     target.provision(ias)
 
@@ -105,8 +137,8 @@ def build_testbed(
     source_os = GuestOs(source, source_vm, malicious_scheduler=malicious_scheduler)
     target_os = GuestOs(target, target_vm)
 
-    vendor_key = KeyPair(generate_rsa_keypair(rng.fork("vendor-key")), "vendor")
-    builder = SdkBuilder(vendor_key, rng.fork("builder"))
+    vendor_key = KeyPair(generate_rsa_keypair(key_rng.fork("vendor-key")), "vendor")
+    builder = SdkBuilder(vendor_key, rng.fork("builder"), key_rng=image_rng)
     owner = EnclaveOwner("owner", ias, clock, costs, rng.fork("owner"))
 
     testbed = Testbed(

@@ -65,9 +65,17 @@ class BuiltImage:
 class SdkBuilder:
     """Builds signed enclave images from programs."""
 
-    def __init__(self, vendor_key: KeyPair, rng: DeterministicRng) -> None:
+    def __init__(
+        self,
+        vendor_key: KeyPair,
+        rng: DeterministicRng,
+        key_rng: DeterministicRng | None = None,
+    ) -> None:
         self._vendor_key = vendor_key
         self._rng = rng
+        #: Root of the image keys (None: ``rng``); the rest of each
+        #: image's randomness always comes from ``rng``.
+        self._key_rng = rng if key_rng is None else key_rng
 
     def build(
         self,
@@ -90,7 +98,9 @@ class SdkBuilder:
         """
         register_program(program)
         rng = self._rng.fork(f"image/{name}")
-        image_key = KeyPair(generate_rsa_keypair(rng.fork("image-key")), f"{name}/image")
+        image_key = KeyPair(
+            generate_rsa_keypair(self._key_rng.fork(f"image/{name}/image-key")), f"{name}/image"
+        )
 
         pages: list[PageSpec] = []
         cursor = base

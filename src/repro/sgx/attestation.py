@@ -28,6 +28,7 @@ from repro.sgx.instructions import REPORT_DATA_LEN, ereport
 from repro.sgx.structures import Quote, Report, TargetInfo
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
+from repro.sim.rng import DeterministicRng
 
 #: The measurement every Quoting Enclave instance reports.  Publicly known
 #: (it identifies Intel's signed QE binary); used as the EREPORT target.
@@ -169,10 +170,17 @@ def verify_avr(
         )
 
 
-def provision_platform(cpu: SgxCpu, ias: AttestationService) -> QuotingEnclave:
-    """Manufacture-time setup: give a CPU a QE and register it with IAS."""
+def provision_platform(
+    cpu: SgxCpu, ias: AttestationService, key_rng: DeterministicRng | None = None
+) -> QuotingEnclave:
+    """Manufacture-time setup: give a CPU a QE and register it with IAS.
+
+    The attestation key derives from ``key_rng`` (default: the CPU's own
+    RNG), so every machine modelling one host can present the same key.
+    """
+    rng = cpu.rng if key_rng is None else key_rng
     attestation_key = KeyPair(
-        generate_rsa_keypair(cpu.rng.fork("attestation-key")), f"{cpu.name}/attestation"
+        generate_rsa_keypair(rng.fork("attestation-key")), f"{cpu.name}/attestation"
     )
     qe = QuotingEnclave(cpu, attestation_key)
     ias.register_platform(cpu.platform_id, attestation_key.public)

@@ -258,3 +258,80 @@ class TestContention:
         assert "fleet.host.bandwidth_used" in names
         gauge = next(m for m in metrics if m["name"] == "fleet.host.epc_used")
         assert gauge["gauge"]["dataPoints"], "utilization timeline exports points"
+
+
+class TestFleetKeys:
+    """Fleet members share the fleet's long-lived keys: one IAS, vendor
+    and image key per fleet, one attestation key per host."""
+
+    @staticmethod
+    def _run_counting(monkeypatch, config):
+        """Run ``config`` cold; return (uncached keygens, member testbeds)."""
+        from repro.crypto import rsa
+        from repro.migration import testbed as testbed_module
+
+        monkeypatch.setattr(rsa, "_KEYGEN_CACHE", {})
+        misses = []
+        uncached = rsa._generate_rsa_keypair_uncached
+        monkeypatch.setattr(
+            rsa,
+            "_generate_rsa_keypair_uncached",
+            lambda *args: misses.append(args) or uncached(*args),
+        )
+        testbeds = []
+        build = testbed_module.build_testbed
+        monkeypatch.setattr(
+            testbed_module,
+            "build_testbed",
+            lambda **kwargs: testbeds.append(build(**kwargs)) or testbeds[-1],
+        )
+        report = FleetRunner(config).run()
+        assert all(r.status == "ok" for r in report.records)
+        return len(misses), report, testbeds
+
+    @staticmethod
+    def _platform_key(tb, machine):
+        return tb.ias._platforms[machine.cpu.platform_id]
+
+    def test_cold_fleet_generates_three_plus_one_key_per_host(self, monkeypatch):
+        misses, report, testbeds = self._run_counting(
+            monkeypatch, FleetConfig(n=8, hosts=4, max_inflight=8)
+        )
+        assert misses == 3 + 4
+        by_host = {}
+        for record, tb in zip(report.records, testbeds):
+            for host, machine in (
+                (record.source_host, tb.source),
+                (record.target_host, tb.target),
+            ):
+                by_host.setdefault(host, set()).add(self._platform_key(tb, machine))
+        assert sorted(by_host) == [0, 1, 2, 3]
+        assert all(len(keys) == 1 for keys in by_host.values())
+        assert len({next(iter(keys)) for keys in by_host.values()}) == 4
+
+    def test_several_base_seeds_share_one_key_set(self, monkeypatch):
+        misses, _, testbeds = self._run_counting(monkeypatch, FleetConfig(n=4, seeds=(1, 2)))
+        # Without hosts the platforms are labelled by role: source, target.
+        assert misses == 3 + 2
+        assert len({tb.ias.public_key for tb in testbeds}) == 1
+        assert len({tb.builder._vendor_key.public for tb in testbeds}) == 1
+        assert len({self._platform_key(tb, tb.source) for tb in testbeds}) == 1
+
+    def test_single_testbed_keys_derive_from_its_seed(self):
+        """Pinned: a testbed built without a key source keeps the keys it
+        always had, so goldens and single-migration callers cannot drift."""
+        from repro.migration.testbed import build_testbed
+
+        tb = build_testbed(seed=0)
+        fingerprints = {
+            "ias": tb.ias.public_key.fingerprint().hex(),
+            "vendor": tb.builder._vendor_key.public.fingerprint().hex(),
+            "source": self._platform_key(tb, tb.source).fingerprint().hex(),
+            "target": self._platform_key(tb, tb.target).fingerprint().hex(),
+        }
+        assert fingerprints == {
+            "ias": "ccc476e34f976c9cb9212af35020adc2d743896cb3fb9a13f19eaba2f024ed26",
+            "vendor": "cea9f202f561ff638dd4f2802f17797282770fa589902b5886f9bead7442de1e",
+            "source": "11ae6cd4d9bdc8ceb97fe6cc816ac8b111a1bc3271d894a9a51ceda13f39be5c",
+            "target": "df6c70720616e7025b56c5f5d1b3a8a0b5aabac9a08aac23cd916bb6158b1bb6",
+        }

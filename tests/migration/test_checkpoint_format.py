@@ -12,6 +12,7 @@ from repro.migration.checkpoint import (
     seal_checkpoint,
 )
 from repro.migration.orchestrator import MigrationOrchestrator
+from repro.serde import SerdeError, pack, unpack
 from repro.sdk.host import WorkerSpec
 from repro.sdk.image import FLAG_FREE, FLAG_SPIN
 
@@ -153,6 +154,65 @@ class TestLegacyJsonFallback:
             result.target_app.library.control_call(control.storage_get, "note")
             == "sealed rides along"
         )
+
+
+_DROP = object()
+
+
+def _v2_with(**changes) -> bytes:
+    """A valid v2 blob whose header fields are replaced (``_DROP``: removed)."""
+    blob = make_checkpoint(n_pages=1).to_bytes()
+    magic_len = len(b"ECKPT2\x00")
+    header_len = int.from_bytes(blob[magic_len : magic_len + 4], "big")
+    header = unpack(blob[magic_len + 4 : magic_len + 4 + header_len])
+    for name, value in changes.items():
+        if value is _DROP:
+            del header[name]
+        else:
+            header[name] = value
+    new_header = pack(header)
+    tail = blob[magic_len + 4 + header_len :]
+    return blob[:magic_len] + len(new_header).to_bytes(4, "big") + new_header + tail
+
+
+class TestMalformedDecode:
+    """Every wrongly shaped payload is refused with the typed SerdeError,
+    never a bare TypeError/KeyError escaping from field access."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            pytest.param(b"9", id="legacy-int"),
+            pytest.param(b"[]", id="legacy-list"),
+            pytest.param(b"null", id="legacy-null"),
+            pytest.param(b'"x"', id="legacy-str"),
+            pytest.param(b"{}", id="legacy-empty-dict"),
+            pytest.param(pack({"pages": {"zz": b"x"}}), id="legacy-bad-page-address"),
+            pytest.param(
+                _legacy_to_bytes(make_checkpoint()).replace(b'"sequence":1', b'"sequence":"1"'),
+                id="legacy-sequence-str",
+            ),
+            pytest.param(b"ECKPT2\x00" + (2).to_bytes(4, "big") + b"[]", id="v2-header-list"),
+            pytest.param(_v2_with(page_index=_DROP), id="v2-no-page-index"),
+            pytest.param(_v2_with(page_index=7), id="v2-page-index-int"),
+            pytest.param(_v2_with(page_index=[7]), id="v2-page-entry-int"),
+            pytest.param(_v2_with(page_index=[[0x1000]]), id="v2-page-entry-short"),
+            pytest.param(_v2_with(page_index=[["0x1000", 4096]]), id="v2-page-vaddr-str"),
+            pytest.param(_v2_with(page_index=[[0x1000, None]]), id="v2-page-length-none"),
+            pytest.param(_v2_with(image_name=_DROP), id="v2-no-image-name"),
+            pytest.param(_v2_with(mrenclave="aa"), id="v2-mrenclave-str"),
+            pytest.param(_v2_with(tcs=[{"index": 0}]), id="v2-tcs-incomplete"),
+            pytest.param(_v2_with(tcs=[3]), id="v2-tcs-int"),
+            pytest.param(_v2_with(skipped=["x"]), id="v2-skipped-str"),
+            pytest.param(_v2_with(storage_version="1"), id="v2-storage-version-str"),
+        ],
+    )
+    def test_wrong_shape_raises_serde_error(self, blob):
+        with pytest.raises(SerdeError):
+            EnclaveCheckpoint.from_bytes(blob)
+
+    def test_untouched_v2_blob_still_decodes(self):
+        assert EnclaveCheckpoint.from_bytes(_v2_with()).sequence == 1
 
 
 class TestTwoPhaseGeneration:
