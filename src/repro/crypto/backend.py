@@ -1,17 +1,21 @@
 """Pluggable crypto backends: a pure-Python reference oracle and a fast path.
 
 Every symmetric-cipher operation on the checkpoint hot path (envelope
-sealing, MEE page sealing, the SGX-v2 migratable-page stream) goes through
-one :class:`CryptoBackend`.  Two implementations exist:
+sealing, MEE page sealing, the SGX-v2 migratable-page stream) and every
+RSA signature (quotes, attestation reports, the image key's channel
+transcript) goes through one :class:`CryptoBackend`.  Two implementations
+exist:
 
 * ``reference`` — this repository's from-scratch ciphers, invoked exactly
-  as the original call sites did (fresh cipher object per operation).  It
-  is the correctness oracle: slow, obvious, test-vector-verified.
+  as the original call sites did (fresh cipher object per operation), and
+  CRT signing in Python.  It is the correctness oracle: slow, obvious,
+  test-vector-verified.
 * ``fast`` — byte-identical output, produced cheaply: cipher objects are
   cached per key instead of rebuilt per page, and when the optional
   ``cryptography`` package is importable the AES-CTR / AES-CBC / RC4
-  work is delegated to OpenSSL.  Without ``cryptography`` the fast
-  backend still wins by amortizing key schedules and batching XORs.
+  work and RSA signing are delegated to OpenSSL.  Without
+  ``cryptography`` the fast backend still wins by amortizing key
+  schedules and batching XORs, and signs with the reference CRT code.
 
 The backend changes *wall-clock* cost only.  Virtual (modelled) time is
 charged by :class:`repro.sim.costs.CostModel` per algorithm and is
@@ -47,14 +51,24 @@ try:  # optional accelerator; never a hard dependency
         from cryptography.hazmat.decrepit.ciphers.algorithms import ARC4 as _CgArc4
     except ImportError:  # pragma: no cover - older cryptography layouts
         _CgArc4 = getattr(algorithms, "ARC4", None)
+    from cryptography.hazmat.primitives.asymmetric.padding import PKCS1v15
+    from cryptography.hazmat.primitives.asymmetric.rsa import (
+        RSAPrivateNumbers,
+        RSAPublicNumbers,
+    )
+    from cryptography.hazmat.primitives.asymmetric.utils import NoDigestInfo
+
     _HAVE_CRYPTOGRAPHY = True
 except ImportError:  # pragma: no cover - stdlib-only environments
     Cipher = algorithms = _cg_modes = _CgArc4 = None
     _HAVE_CRYPTOGRAPHY = False
 
+#: RSA CRT components ``(p, q, d mod p-1, d mod q-1, q^-1 mod p)``.
+Crt = tuple[int, int, int, int, int]
+
 
 class CryptoBackend:
-    """Uniform symmetric-cipher interface the hot paths call into.
+    """Uniform cipher and signing interface the hot paths call into.
 
     All methods are deterministic functions of their inputs; the two
     implementations below must agree byte-for-byte on every one.
@@ -78,6 +92,15 @@ class CryptoBackend:
     def aes_cbc_decrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
         raise NotImplementedError
 
+    def rsa_sign(self, n: int, e: int, d: int, crt: Crt, digest: bytes) -> bytes:
+        """``pow(m, d, n)`` for ``m = pad_digest(digest)`` (PKCS#1 v1.5
+        type-1 padding without a DigestInfo), as ``n``'s byte length.
+
+        The caller has checked that ``crt`` belongs to ``(n, e, d)`` and
+        that the digest leaves at least 8 bytes of padding.
+        """
+        raise NotImplementedError
+
 
 class ReferenceBackend(CryptoBackend):
     """The original pure-Python call sites, verbatim: the oracle."""
@@ -99,22 +122,46 @@ class ReferenceBackend(CryptoBackend):
     def aes_cbc_decrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
         return cbc_decrypt(Aes128(key16), iv, data)
 
+    def rsa_sign(self, n: int, e: int, d: int, crt: Crt, digest: bytes) -> bytes:
+        return _crt_sign(n, crt, digest)
+
+
+def pad_digest(digest: bytes, modulus_bytes: int) -> int:
+    """EMSA-style padding: 0x00 0x01 FF..FF 0x00 digest."""
+    padding_len = modulus_bytes - len(digest) - 3
+    if padding_len < 8:
+        raise ValueError("modulus too small for padded digest")
+    padded = b"\x00\x01" + b"\xff" * padding_len + b"\x00" + digest
+    return int.from_bytes(padded, "big")
+
+
+def _crt_sign(n: int, crt: Crt, digest: bytes) -> bytes:
+    """Two half-size exponentiations mod ``p`` and ``q`` recombined
+    (Garner): the same bytes as ``pow(m, d, n)``, about three times faster."""
+    size = (n.bit_length() + 7) // 8
+    m = pad_digest(digest, size)
+    p, q, dp, dq, q_inv = crt
+    s_p = pow(m, dp, p)
+    s_q = pow(m, dq, q)
+    return (s_q + q * ((q_inv * (s_p - s_q)) % p)).to_bytes(size, "big")
+
 
 class _KeyedCache:
     """A small bounded cache of cipher objects keyed by key material.
 
-    Key schedules (AES round keys, DES PC-1/PC-2 subkeys) dominate the
-    per-page cost when the payload is a single 4 KB page; the hot paths
-    reuse a handful of long-lived keys, so a tiny cache removes the
-    rebuild entirely.
+    Key schedules (AES round keys, DES PC-1/PC-2 subkeys, OpenSSL's RSA
+    key setup) dominate the per-call cost when the payload is a single
+    4 KB page or one digest; the hot paths reuse a handful of long-lived
+    keys, so a tiny cache removes the rebuild entirely.  The oldest entry
+    is evicted first past ``max_entries``.
     """
 
     def __init__(self, factory, max_entries: int = 128) -> None:
         self._factory = factory
         self._max = max_entries
-        self._entries: dict[bytes, object] = {}
+        self._entries: dict[object, object] = {}
 
-    def get(self, key: bytes):
+    def get(self, key):
         cipher = self._entries.get(key)
         if cipher is None:
             if len(self._entries) >= self._max:
@@ -139,6 +186,7 @@ class FastBackend(CryptoBackend):
     def __init__(self) -> None:
         self._aes = _KeyedCache(Aes128)
         self._des = _KeyedCache(Des)
+        self._rsa = _KeyedCache(_openssl_rsa_key)
         self._arc4_broken = not _HAVE_CRYPTOGRAPHY or _CgArc4 is None
 
     # ---------------------------------------------------------------- rc4
@@ -187,6 +235,23 @@ class FastBackend(CryptoBackend):
             padded = decryptor.update(data) + decryptor.finalize()
             return pkcs7_unpad(padded, 16)
         return cbc_decrypt(self._aes.get(key16), iv, data)
+
+    # ---------------------------------------------------------------- rsa
+    def rsa_sign(self, n: int, e: int, d: int, crt: Crt, digest: bytes) -> bytes:
+        # PKCS#1 v1.5 signing is deterministic, so OpenSSL's blinded CRT
+        # returns exactly the reference bytes.
+        if _HAVE_CRYPTOGRAPHY:
+            return self._rsa.get((n, e, d, crt)).sign(digest, PKCS1v15(), NoDigestInfo())
+        return _crt_sign(n, crt, digest)
+
+
+def _openssl_rsa_key(numbers: tuple[int, int, int, Crt]):
+    n, e, d, (p, q, dp, dq, q_inv) = numbers
+    # The CRT components were derived from (n, e, d) and checked, so
+    # OpenSSL's slow key validation would only repeat that work.
+    return RSAPrivateNumbers(p, q, d, dp, dq, q_inv, RSAPublicNumbers(e, n)).private_key(
+        unsafe_skip_rsa_key_validation=True
+    )
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

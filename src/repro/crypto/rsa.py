@@ -8,12 +8,14 @@ plaintext while the private key is in ciphertext."), and enclave owners.
 Key generation uses Miller-Rabin with 1024-bit moduli — small by modern
 deployment standards but honest in structure, and fast enough that tests
 can generate fresh keys.  Signing is full-block EMSA-style padding over a
-SHA-256 digest, computed with the Chinese Remainder Theorem: two
-half-size exponentiations mod ``p`` and ``q`` instead of one mod ``n``,
-about three times faster and the same bytes as ``pow(m, d, n)``.  The CRT
-components live in a small memo keyed on ``(n, e, d)``: key generation
-fills it for free, and a key rebuilt from ``(n, e, d)`` alone (the
-in-enclave image key) recovers ``p`` and ``q`` from its exponents once.
+SHA-256 digest, the same bytes as ``pow(m, d, n)``.  The active crypto
+backend computes it (:meth:`repro.crypto.backend.CryptoBackend.rsa_sign`):
+the reference backend with the Chinese Remainder Theorem in Python, the
+fast one with OpenSSL.  Both need the CRT components, which live in a
+small memo keyed on ``(n, e, d)``: key generation fills it for free, and
+a key rebuilt from ``(n, e, d)`` alone (the in-enclave image key)
+recovers ``p`` and ``q`` from its exponents once.  Verification stays in
+Python and accepts only a signature below ``n`` (RFC 8017 §5.2.2).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from repro.crypto.backend import Crt, get_backend, pad_digest
 from repro.crypto.hashes import sha256
 from repro.errors import CryptoError, SignatureError
 from repro.sim.rng import DeterministicRng
@@ -64,15 +67,6 @@ def _generate_prime(bits: int, rng: DeterministicRng) -> int:
             return candidate
 
 
-def _pad_digest(digest: bytes, modulus_bytes: int) -> int:
-    """EMSA-style padding: 0x00 0x01 FF..FF 0x00 digest."""
-    padding_len = modulus_bytes - len(digest) - 3
-    if padding_len < 8:
-        raise ValueError("modulus too small for padded digest")
-    padded = b"\x00\x01" + b"\xff" * padding_len + b"\x00" + digest
-    return int.from_bytes(padded, "big")
-
-
 @dataclass(frozen=True)
 class RsaPublicKey:
     """RSA public key (n, e); verifies signatures."""
@@ -88,9 +82,13 @@ class RsaPublicKey:
         """Raise :class:`SignatureError` unless ``signature`` is valid."""
         if len(signature) != self.modulus_bytes:
             raise SignatureError("signature length mismatch")
-        expected = _pad_digest(sha256(message), self.modulus_bytes)
-        recovered = pow(int.from_bytes(signature, "big"), self.e, self.n)
-        if recovered != expected:
+        s = int.from_bytes(signature, "big")
+        if s >= self.n:
+            # s and s + k*n share a residue; only the one below n is the
+            # signature, or one valid signature yields several.
+            raise SignatureError("signature representative out of range")
+        expected = pad_digest(sha256(message), self.modulus_bytes)
+        if pow(s, self.e, self.n) != expected:
             raise SignatureError("RSA signature verification failed")
 
     def is_valid(self, message: bytes, signature: bytes) -> bool:
@@ -125,17 +123,15 @@ class RsaPrivateKey:
     def sign(self, message: bytes) -> bytes:
         """Sign ``message``; raises :class:`CryptoError` if ``d`` does not
         belong to ``(n, e)``."""
-        padded = _pad_digest(sha256(message), self.modulus_bytes)
-        p, q, dp, dq, q_inv = _crt_components(self.n, self.e, self.d)
-        s_p = pow(padded, dp, p)
-        s_q = pow(padded, dq, q)
-        signature = s_q + q * ((q_inv * (s_p - s_q)) % p)
-        return signature.to_bytes(self.modulus_bytes, "big")
+        digest = sha256(message)
+        pad_digest(digest, self.modulus_bytes)  # ValueError before any key work
+        crt = _crt_components(self.n, self.e, self.d)
+        return get_backend().rsa_sign(self.n, self.e, self.d, crt, digest)
 
 
 #: CRT components ``(p, q, d mod p-1, d mod q-1, q^-1 mod p)`` by
 #: ``(n, e, d)``; oldest entry evicted first past ``_CRT_MEMO_MAX``.
-_CRT_MEMO: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
+_CRT_MEMO: dict[tuple[int, int, int], Crt] = {}
 _CRT_MEMO_MAX = 1024
 #: Bases tried when factoring ``n`` from ``(e, d)``.  A base fails to
 #: split ``n`` about half the time, so a hundred failures in a row
@@ -143,7 +139,7 @@ _CRT_MEMO_MAX = 1024
 _RECOVERY_BASES = range(2, 102)
 
 
-def _crt_components(n: int, e: int, d: int) -> tuple[int, int, int, int, int]:
+def _crt_components(n: int, e: int, d: int) -> Crt:
     crt = _CRT_MEMO.get((n, e, d))
     if crt is None:
         primes = _recover_primes(n, e, d)
@@ -153,7 +149,7 @@ def _crt_components(n: int, e: int, d: int) -> tuple[int, int, int, int, int]:
     return crt
 
 
-def _remember_crt(n: int, e: int, d: int, p: int, q: int) -> tuple[int, int, int, int, int]:
+def _remember_crt(n: int, e: int, d: int, p: int, q: int) -> Crt:
     if len(_CRT_MEMO) >= _CRT_MEMO_MAX:
         del _CRT_MEMO[next(iter(_CRT_MEMO))]
     crt = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))

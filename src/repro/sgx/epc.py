@@ -19,7 +19,7 @@ from repro.errors import SgxEpcExhausted, SgxInstructionFault
 from repro.sgx.structures import PAGE_SIZE, PageType, Permissions
 
 
-@dataclass
+@dataclass(slots=True)
 class EpcmEntry:
     """EPCM metadata for one EPC page (hardware-only in real SGX)."""
 
@@ -72,16 +72,19 @@ class Epc:
         self.n_pages = n_pages
         self._pages = [EpcPage(i) for i in range(n_pages)]
         self._epcm = [EpcmEntry() for _ in range(n_pages)]
-        self._free = list(range(n_pages - 1, -1, -1))
+        # Free pages are the freed stack (last freed on top) above the
+        # never-used indices ``_next..n_pages-1``, lowest first.
+        self._freed: list[int] = []
+        self._next = 0
 
     # ------------------------------------------------------------- queries
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self._freed) + self.n_pages - self._next
 
     @property
     def used_count(self) -> int:
-        return self.n_pages - len(self._free)
+        return self.n_pages - self.free_count
 
     def page(self, index: int) -> EpcPage:
         return self._pages[index]
@@ -108,9 +111,13 @@ class Epc:
         Raises :class:`SgxEpcExhausted` when the EPC is full — the caller
         (driver or hypervisor) is expected to evict a victim page first.
         """
-        if not self._free:
+        if self._freed:
+            index = self._freed.pop()
+        elif self._next < self.n_pages:
+            index = self._next
+            self._next += 1
+        else:
             raise SgxEpcExhausted("no free EPC page")
-        index = self._free.pop()
         entry = self._epcm[index]
         entry.valid = True
         entry.page_type = page_type
@@ -130,4 +137,4 @@ class Epc:
         entry.owner_eid = -1
         entry.permissions = Permissions.NONE
         self._pages[index].wipe()
-        self._free.append(index)
+        self._freed.append(index)

@@ -6,14 +6,19 @@ byte-identical ciphertext for every algorithm, key, nonce, payload size
 (empty and non-block-aligned included) and CTR counter offset.  Property
 tests drive both backends over randomized inputs and demand equality;
 envelope tests additionally prove the two interoperate (seal on one,
-open on the other) and agree on tamper rejection.
+open on the other) and agree on tamper rejection.  RSA signatures from
+every backend, OpenSSL's and the pure-Python fallback of ``fast``
+included, equal the textbook ``pow(m, d, n)``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import backend as backend_module
 from repro.crypto.authenc import CIPHER_NAMES, open_envelope, seal_envelope
 from repro.crypto.backend import (
     BACKEND_NAMES,
@@ -24,8 +29,11 @@ from repro.crypto.backend import (
     set_backend,
     use_backend,
 )
+from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
+from repro.crypto.rsa import RsaPrivateKey, generate_rsa_keypair
 from repro.errors import CryptoError, IntegrityError
+from repro.sim.rng import DeterministicRng
 
 REF = ReferenceBackend()
 FAST = FastBackend()
@@ -121,6 +129,68 @@ class TestEnvelopeParity:
                 open_envelope(k, Envelope.from_bytes(bytes(mangled)), aad=b"a")
             with pytest.raises(IntegrityError):
                 open_envelope(k, env, aad=b"wrong-aad")
+
+
+# The seeded keys of test_rsa_crt.py: generated once per process.
+RSA_KEYS = [
+    generate_rsa_keypair(DeterministicRng(f"crt-oracle/{bits}/{i}"), bits)
+    for bits, count in ((1024, 4), (512, 4))
+    for i in range(count)
+]
+
+
+def textbook_sign(key, message):
+    size = (key.n.bit_length() + 7) // 8
+    digest = sha256(message)
+    padded = b"\x00\x01" + b"\xff" * (size - len(digest) - 3) + b"\x00" + digest
+    return pow(int.from_bytes(padded, "big"), key.d, key.n).to_bytes(size, "big")
+
+
+SIGN_BACKENDS = ("reference", "fast", "fast-without-openssl")
+
+
+@contextmanager
+def signing_backend(name):
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "fast-without-openssl":
+            patch.setattr(backend_module, "_HAVE_CRYPTOGRAPHY", False)
+        with use_backend(name.split("-")[0]):
+            yield
+
+
+@pytest.mark.parametrize("backend_name", SIGN_BACKENDS)
+class TestRsaSignParity:
+    @settings(max_examples=25, deadline=None)
+    @given(key=st.sampled_from(RSA_KEYS), message=st.binary(max_size=200))
+    def test_signature_is_textbook_modexp(self, backend_name, key, message):
+        with signing_backend(backend_name):
+            assert key.sign(message) == textbook_sign(key, message)
+
+    def test_mismatched_exponent_raises_crypto_error(self, backend_name):
+        key = RSA_KEYS[0]
+        with signing_backend(backend_name), pytest.raises(CryptoError):
+            RsaPrivateKey(key.n, key.e, key.d + 2).sign(b"m")
+
+    def test_modulus_too_small_raises_value_error(self, backend_name):
+        # 336 bits leave 42 bytes: 32 for the digest, 3 fixed, 7 of padding.
+        key = generate_rsa_keypair(DeterministicRng("too-small"), 336)
+        with signing_backend(backend_name), pytest.raises(ValueError):
+            key.sign(b"m")
+
+
+class TestRsaKeyCache:
+    def test_openssl_key_cache_is_bounded(self):
+        if not backend_module._HAVE_CRYPTOGRAPHY:
+            pytest.skip("needs the cryptography package")
+        fast = FastBackend()
+        fast._rsa._max = 2
+        with use_backend(fast):
+            for key in RSA_KEYS:
+                assert key.sign(b"m") == textbook_sign(key, b"m")
+            assert len(fast._rsa._entries) == 2
+            # An evicted key is rebuilt and still signs right.
+            assert RSA_KEYS[0].sign(b"m") == textbook_sign(RSA_KEYS[0], b"m")
+            assert len(fast._rsa._entries) == 2
 
 
 class TestRegistry:

@@ -58,6 +58,17 @@ class TestRsa:
         sig = key_a.sign(b"message")
         assert not key_b.public.is_valid(b"message", sig)
 
+    def test_signature_plus_modulus_rejected(self):
+        # s + n has the same residue as s; it must not pass as a second
+        # valid signature of the same message (RFC 8017 §5.2.2).
+        key = generate_rsa_keypair(DeterministicRng("k0"))
+        sig = key.sign(b"m4")
+        malleated = int.from_bytes(sig, "big") + key.n
+        assert malleated < 1 << (8 * key.modulus_bytes)
+        with pytest.raises(SignatureError):
+            key.public.verify(b"m4", malleated.to_bytes(key.modulus_bytes, "big"))
+        key.public.verify(b"m4", sig)
+
     def test_signature_length_checked(self, rng):
         key = generate_rsa_keypair(rng.fork("k"))
         with pytest.raises(SignatureError):

@@ -1,6 +1,7 @@
 """EPC allocation/EPCM bookkeeping and MRENCLAVE computation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SgxEpcExhausted, SgxInstructionFault
 from repro.sgx.epc import Epc
@@ -62,6 +63,79 @@ class TestEpc:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             Epc(4)
+
+
+class OracleAllocator:
+    """The original allocator: one list of every free index, popped from
+    the end, initialised in descending order."""
+
+    def __init__(self, n_pages):
+        self.free = list(range(n_pages - 1, -1, -1))
+
+    def alloc(self):
+        return self.free.pop() if self.free else None
+
+    def release(self, index):
+        self.free.append(index)
+
+
+def _alloc(epc):
+    return epc.alloc(1, 0, PageType.REG, Permissions.RW).index
+
+
+class TestEpcFreeList:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63)), max_size=120))
+    def test_allocation_order_matches_oracle(self, ops):
+        epc, oracle = Epc(16), OracleAllocator(16)
+        live = []
+        for is_alloc, pick in ops:
+            if is_alloc or not live:
+                expected = oracle.alloc()
+                if expected is None:
+                    with pytest.raises(SgxEpcExhausted):
+                        _alloc(epc)
+                    continue
+                assert _alloc(epc) == expected
+                live.append(expected)
+            else:
+                index = live.pop(pick % len(live))
+                epc.free(index)
+                oracle.release(index)
+            assert epc.free_count == len(oracle.free)
+            assert epc.used_count == 16 - len(oracle.free)
+
+    def test_counts_across_frees(self):
+        epc = Epc(8)
+        indices = [_alloc(epc) for _ in range(5)]
+        for freed, index in enumerate(indices[1:4], start=1):
+            epc.free(index)
+            assert epc.free_count == 3 + freed and epc.used_count == 5 - freed
+        assert [_alloc(epc) for _ in range(3)] == indices[3:0:-1]
+        assert epc.free_count == 3 and epc.used_count == 5
+
+    def test_exhaustion_after_frees_and_reallocations(self):
+        epc = Epc(8)
+        indices = [_alloc(epc) for _ in range(6)]
+        epc.free(indices[2])
+        epc.free(indices[0])
+        assert sorted(_alloc(epc) for _ in range(4)) == [indices[0], indices[2], 6, 7]
+        assert epc.free_count == 0
+        with pytest.raises(SgxEpcExhausted):
+            _alloc(epc)
+
+    def test_freed_index_reads_empty(self):
+        epc = Epc(8)
+        page = epc.alloc(3, 0x5000, PageType.TCS, Permissions.RW)
+        page.data[:4] = b"live"
+        page.hw_object = object()
+        epc.free(page.index)
+        assert bytes(epc.page(page.index).data) == b"\x00" * PAGE_SIZE
+        assert epc.page(page.index).hw_object is None
+        entry = epc.entry(page.index)
+        assert not entry.valid and entry.owner_eid == -1
+        assert entry.permissions == Permissions.NONE
+        assert epc.pages_of(3) == []
 
 
 class TestMeasurement:
