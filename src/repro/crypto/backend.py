@@ -1,21 +1,29 @@
 """Pluggable crypto backends: a pure-Python reference oracle and a fast path.
 
 Every symmetric-cipher operation on the checkpoint hot path (envelope
-sealing, MEE page sealing, the SGX-v2 migratable-page stream) and every
+sealing, MEE page sealing, the SGX-v2 migratable-page stream), every
 RSA signature (quotes, attestation reports, the image key's channel
-transcript) goes through one :class:`CryptoBackend`.  Two implementations
-exist:
+transcript) and the RSA modular exponentiations (key generation's
+Miller-Rabin witnesses, signature verification, prime recovery) go
+through one :class:`CryptoBackend`.  Two implementations exist:
 
 * ``reference`` — this repository's from-scratch ciphers, invoked exactly
-  as the original call sites did (fresh cipher object per operation), and
-  CRT signing in Python.  It is the correctness oracle: slow, obvious,
-  test-vector-verified.
+  as the original call sites did (fresh cipher object per operation),
+  CRT signing in Python and builtin ``pow``.  It is the correctness
+  oracle: slow, obvious, test-vector-verified.
 * ``fast`` — byte-identical output, produced cheaply: cipher objects are
   cached per key instead of rebuilt per page, and when the optional
   ``cryptography`` package is importable the AES-CTR / AES-CBC / RC4
   work and RSA signing are delegated to OpenSSL.  Without
   ``cryptography`` the fast backend still wins by amortizing key
   schedules and batching XORs, and signs with the reference CRT code.
+  Modular exponentiation calls OpenSSL's ``BN_mod_exp`` through
+  :mod:`ctypes` in the ``libcrypto`` the interpreter's own ``_hashlib``
+  links, so it needs no ``cryptography``; ``FastBackend.modexp_engine``
+  says whether that library loaded.
+
+Diffie-Hellman exponentiations stay inline ``pow`` calls in their
+modules, outside the backend.
 
 The backend changes *wall-clock* cost only.  Virtual (modelled) time is
 charged by :class:`repro.sim.costs.CostModel` per algorithm and is
@@ -29,9 +37,10 @@ or programmatically via :func:`set_backend` / :func:`use_backend`.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.crypto.aes import Aes128
 from repro.crypto.des import Des
@@ -101,6 +110,10 @@ class CryptoBackend:
         """
         raise NotImplementedError
 
+    def modexp(self, base: int, exp: int, mod: int) -> int:
+        """Exactly ``pow(base, exp, mod)``, for any arguments ``pow`` takes."""
+        raise NotImplementedError
+
 
 class ReferenceBackend(CryptoBackend):
     """The original pure-Python call sites, verbatim: the oracle."""
@@ -123,7 +136,10 @@ class ReferenceBackend(CryptoBackend):
         return cbc_decrypt(Aes128(key16), iv, data)
 
     def rsa_sign(self, n: int, e: int, d: int, crt: Crt, digest: bytes) -> bytes:
-        return _crt_sign(n, crt, digest)
+        return _crt_sign(n, crt, digest, self.modexp)
+
+    def modexp(self, base: int, exp: int, mod: int) -> int:
+        return pow(base, exp, mod)
 
 
 def pad_digest(digest: bytes, modulus_bytes: int) -> int:
@@ -135,14 +151,16 @@ def pad_digest(digest: bytes, modulus_bytes: int) -> int:
     return int.from_bytes(padded, "big")
 
 
-def _crt_sign(n: int, crt: Crt, digest: bytes) -> bytes:
+def _crt_sign(
+    n: int, crt: Crt, digest: bytes, modexp: Callable[[int, int, int], int]
+) -> bytes:
     """Two half-size exponentiations mod ``p`` and ``q`` recombined
     (Garner): the same bytes as ``pow(m, d, n)``, about three times faster."""
     size = (n.bit_length() + 7) // 8
     m = pad_digest(digest, size)
     p, q, dp, dq, q_inv = crt
-    s_p = pow(m, dp, p)
-    s_q = pow(m, dq, q)
+    s_p = modexp(m, dp, p)
+    s_q = modexp(m, dq, q)
     return (s_q + q * ((q_inv * (s_p - s_q)) % p)).to_bytes(size, "big")
 
 
@@ -188,6 +206,7 @@ class FastBackend(CryptoBackend):
         self._des = _KeyedCache(Des)
         self._rsa = _KeyedCache(_openssl_rsa_key)
         self._arc4_broken = not _HAVE_CRYPTOGRAPHY or _CgArc4 is None
+        self._bn = _OpenSslBignum.load()
 
     # ---------------------------------------------------------------- rc4
     def rc4(self, stream_key: bytes, data: bytes) -> bytes:
@@ -242,7 +261,80 @@ class FastBackend(CryptoBackend):
         # returns exactly the reference bytes.
         if _HAVE_CRYPTOGRAPHY:
             return self._rsa.get((n, e, d, crt)).sign(digest, PKCS1v15(), NoDigestInfo())
-        return _crt_sign(n, crt, digest)
+        return _crt_sign(n, crt, digest, self.modexp)
+
+    # ------------------------------------------------------------- modexp
+    @property
+    def modexp_engine(self) -> str:
+        """``"openssl"`` when :meth:`modexp` reaches ``BN_mod_exp``,
+        ``"python"`` when ``libcrypto`` could not be loaded."""
+        return "python" if self._bn is None else "openssl"
+
+    def modexp(self, base: int, exp: int, mod: int) -> int:
+        # Montgomery multiplication needs an odd modulus; everything else
+        # pow() defines (inverses, even or tiny moduli) stays with pow().
+        if self._bn is not None and base >= 0 and exp >= 0 and mod >= 3 and mod & 1:
+            return self._bn.mod_exp(base, exp, mod)
+        return pow(base, exp, mod)
+
+
+#: The libcrypto soname Python's ``_hashlib`` and ``_ssl`` link against
+#: with OpenSSL 3; loading it by name reuses the already mapped library.
+_LIBCRYPTO_SONAME = "libcrypto.so.3"
+
+
+class _OpenSslBignum:
+    """``BN_mod_exp`` from ``libcrypto``, called through :mod:`ctypes`."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        ptr, num = ctypes.c_void_p, ctypes.c_int
+        for fn, argtypes, restype in (
+            (lib.BN_CTX_new, [], ptr),
+            (lib.BN_CTX_free, [ptr], None),
+            (lib.BN_new, [], ptr),
+            (lib.BN_clear_free, [ptr], None),
+            (lib.BN_bin2bn, [ctypes.c_char_p, num, ptr], ptr),
+            (lib.BN_bn2binpad, [ptr, ctypes.c_char_p, num], num),
+            (lib.BN_mod_exp, [ptr, ptr, ptr, ptr, ptr], num),
+        ):
+            fn.argtypes, fn.restype = argtypes, restype
+        self._lib = lib
+
+    @classmethod
+    def load(cls) -> "_OpenSslBignum | None":
+        """The bignum functions, or None when ``libcrypto`` cannot be loaded."""
+        try:
+            return cls(ctypes.CDLL(_LIBCRYPTO_SONAME))
+        except (OSError, AttributeError):  # no such library, or no BN_* symbols
+            return None
+
+    def mod_exp(self, base: int, exp: int, mod: int) -> int:
+        """``pow(base, exp, mod)`` for ``base, exp >= 0`` and odd ``mod >= 3``."""
+        lib = self._lib
+        size = (mod.bit_length() + 7) // 8
+        ctx = lib.BN_CTX_new()
+        result = lib.BN_new()
+        operands = []
+        try:
+            if not ctx or not result:
+                raise CryptoError("OpenSSL bignum allocation failed")
+            for value in (base, exp, mod):
+                raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+                bn = lib.BN_bin2bn(raw, len(raw), None)
+                if not bn:
+                    raise CryptoError("OpenSSL BN_bin2bn failed")
+                operands.append(bn)
+            if lib.BN_mod_exp(result, *operands, ctx) != 1:
+                raise CryptoError("OpenSSL BN_mod_exp failed")
+            out = ctypes.create_string_buffer(size)
+            if lib.BN_bn2binpad(result, out, size) != size:
+                raise CryptoError("OpenSSL BN_bn2binpad failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            for bn in operands:
+                lib.BN_clear_free(bn)
+            lib.BN_clear_free(result)  # both free functions accept NULL
+            lib.BN_CTX_free(ctx)
 
 
 def _openssl_rsa_key(numbers: tuple[int, int, int, Crt]):

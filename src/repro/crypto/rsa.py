@@ -14,8 +14,15 @@ the reference backend with the Chinese Remainder Theorem in Python, the
 fast one with OpenSSL.  Both need the CRT components, which live in a
 small memo keyed on ``(n, e, d)``: key generation fills it for free, and
 a key rebuilt from ``(n, e, d)`` alone (the in-enclave image key)
-recovers ``p`` and ``q`` from its exponents once.  Verification stays in
-Python and accepts only a signature below ``n`` (RFC 8017 §5.2.2).
+recovers ``p`` and ``q`` from its exponents once.  Verification accepts
+only a signature below ``n`` (RFC 8017 §5.2.2).
+
+The big exponentiations — each Miller-Rabin witness, verification's
+``s^e mod n`` and prime recovery — go through
+:meth:`~repro.crypto.backend.CryptoBackend.modexp`: builtin ``pow`` under
+the reference backend, OpenSSL's ``BN_mod_exp`` under the fast one.  A
+modexp has exactly one correct result, so every primality decision and
+every RNG draw, and hence every key, is the same under both.
 """
 
 from __future__ import annotations
@@ -45,9 +52,10 @@ def _is_probable_prime(n: int, rng: DeterministicRng, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    modexp = get_backend().modexp
     for _ in range(rounds):
         a = rng.randint(2, n - 2)
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -88,7 +96,7 @@ class RsaPublicKey:
             # signature, or one valid signature yields several.
             raise SignatureError("signature representative out of range")
         expected = pad_digest(sha256(message), self.modulus_bytes)
-        if pow(s, self.e, self.n) != expected:
+        if get_backend().modexp(s, self.e, self.n) != expected:
             raise SignatureError("RSA signature verification failed")
 
     def is_valid(self, message: bytes, signature: bytes) -> bool:
@@ -170,8 +178,9 @@ def _recover_primes(n: int, e: int, d: int) -> tuple[int, int] | None:
         return None
     t = (k & -k).bit_length() - 1
     r = k >> t
+    modexp = get_backend().modexp
     for g in _RECOVERY_BASES:
-        y = pow(g, r, n)
+        y = modexp(g, r, n)
         if y in (1, n - 1):
             continue
         for _ in range(t):

@@ -65,6 +65,11 @@ class Telemetry:
         self.run_metrics: dict[str, dict] = {}
         self.last_run_id: str | None = None
         self._run_scopes: dict[str, "object"] = {}
+        # run_metrics folded as it grows, so an isolation sweep costs
+        # O(series) rather than O(runs x series): per-series sums of the
+        # runs' increments and the negative-increment messages.
+        self._run_sums: dict[str, float] = {}
+        self._run_decreases: list[str] = []
 
     # ------------------------------------------------------------ conveniences
     def span(self, name: str, party: str = "orchestrator", track: str = "", **attrs):
@@ -130,8 +135,16 @@ class Telemetry:
             return None
         delta = scope.close()
         if delta is not None:
+            replaced = run_id in self.run_metrics
             self.run_metrics[run_id] = delta
             self.last_run_id = run_id
+            if replaced:  # a re-used run id drops its old delta: refold
+                self._run_sums.clear()
+                self._run_decreases.clear()
+                for folded_id, folded in self.run_metrics.items():
+                    self._fold_run(folded_id, folded)
+            else:
+                self._fold_run(run_id, delta)
             if self.bus is not None:
                 # The run's closed metric delta is a first-class stream
                 # record: the SLO engine and fleet console consume these
@@ -155,26 +168,9 @@ class Telemetry:
         scope.  Scopes closed before the registry's last reset are
         excluded (their baseline no longer exists).
         """
-        violations: list[str] = []
-        sums: dict[str, float] = {}
-        for run_id, delta in self.run_metrics.items():
-            for series, value in delta.items():
-                if isinstance(value, dict):
-                    moved = value.get("count", 0)
-                else:
-                    instrument = self.metrics._instruments.get(series)
-                    if instrument is None or instrument.kind != "counter":
-                        continue
-                    moved = value
-                if moved < 0:
-                    violations.append(
-                        f"run scope {run_id}: series {series} decreased by "
-                        f"{-moved} inside one migration (scopes must only "
-                        "ever add)"
-                    )
-                sums[series] = sums.get(series, 0) + max(moved, 0)
+        violations = list(self._run_decreases)
         if getattr(self.metrics, "generation", 0) == 0:
-            for series, total in sums.items():
+            for series, total in self._run_sums.items():
                 instrument = self.metrics._instruments.get(series)
                 if instrument is None:
                     continue
@@ -193,6 +189,25 @@ class Telemetry:
                         "one scope)"
                     )
         return violations
+
+    def _fold_run(self, run_id: str, delta: dict) -> None:
+        """Add one closed run's increments to the isolation sweep's state."""
+        sums = self._run_sums
+        for series, value in delta.items():
+            if isinstance(value, dict):
+                moved = value.get("count", 0)
+            else:
+                instrument = self.metrics._instruments.get(series)
+                if instrument is None or instrument.kind != "counter":
+                    continue
+                moved = value
+            if moved < 0:
+                self._run_decreases.append(
+                    f"run scope {run_id}: series {series} decreased by "
+                    f"{-moved} inside one migration (scopes must only "
+                    "ever add)"
+                )
+            sums[series] = sums.get(series, 0) + max(moved, 0)
 
     # ---------------------------------------------------------------- observer
     def _on_event(self, event) -> None:

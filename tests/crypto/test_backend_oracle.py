@@ -8,12 +8,14 @@ tests drive both backends over randomized inputs and demand equality;
 envelope tests additionally prove the two interoperate (seal on one,
 open on the other) and agree on tamper rejection.  RSA signatures from
 every backend, OpenSSL's and the pure-Python fallback of ``fast``
-included, equal the textbook ``pow(m, d, n)``.
+included, equal the textbook ``pow(m, d, n)``, and ``modexp`` equals
+builtin ``pow`` on every backend, so key generation yields the same keys.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,11 @@ from repro.crypto.backend import (
 )
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.rsa import RsaPrivateKey, generate_rsa_keypair
+from repro.crypto.rsa import (
+    RsaPrivateKey,
+    _generate_rsa_keypair_uncached,
+    generate_rsa_keypair,
+)
 from repro.errors import CryptoError, IntegrityError
 from repro.sim.rng import DeterministicRng
 
@@ -191,6 +197,110 @@ class TestRsaKeyCache:
             # An evicted key is rebuilt and still signs right.
             assert RSA_KEYS[0].sign(b"m") == textbook_sign(RSA_KEYS[0], b"m")
             assert len(fast._rsa._entries) == 2
+
+
+MODEXP_BACKENDS = ("reference", "fast", "fast-without-libcrypto")
+
+
+@contextmanager
+def modexp_backend(name):
+    """A fresh backend; ``fast-without-libcrypto`` cannot load OpenSSL."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "fast-without-libcrypto":
+            patch.setattr(backend_module, "_LIBCRYPTO_SONAME", "libcrypto-absent.so.0")
+        backend = make_backend(name.split("-")[0])
+        if name == "fast-without-libcrypto":
+            assert backend.modexp_engine == "python"
+        yield backend
+
+
+def bit_sized(max_bits):
+    """Integers whose bit length is drawn uniformly from 1..max_bits."""
+    return st.integers(1, max_bits).flatmap(
+        lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)
+    )
+
+
+@pytest.mark.parametrize("backend_name", MODEXP_BACKENDS)
+class TestModexpParity:
+    @settings(max_examples=60, deadline=None)
+    @given(base=bit_sized(2048), exp=bit_sized(2048), mod=bit_sized(2048))
+    def test_equals_builtin_pow(self, backend_name, base, exp, mod):
+        with modexp_backend(backend_name) as backend:
+            assert backend.modexp(base, exp, mod) == pow(base, exp, mod)
+
+    @pytest.mark.parametrize(
+        "base, exp, mod",
+        [
+            (0, 5, 101),  # base 0
+            (0, 0, 101),  # 0^0 = 1
+            (7, 0, 101),  # exponent 0
+            (101, 3, 101),  # base == mod
+            (2**300 + 5, 65537, 2**255 - 19),  # base far above mod
+            (12345, 6789, 1),  # mod 1
+            (12345, 6789, 2),  # mod 2
+            (12345, 6789, 2**128),  # even modulus
+            (12345, 6789, 3 * 2**64),  # even modulus, odd factor
+            (-5, 3, 101),  # negative base
+            (3, -1, 101),  # negative exponent: the inverse
+            (2**1023 + 1, 2**1024 - 1, 2**1024 - 105),  # full-size operands
+        ],
+    )
+    def test_edge_cases(self, backend_name, base, exp, mod):
+        with modexp_backend(backend_name) as backend:
+            assert backend.modexp(base, exp, mod) == pow(base, exp, mod)
+
+
+class TestKeygenIdentity:
+    def test_every_backend_generates_the_reference_keys(self):
+        # A modexp has one correct result, so every Miller-Rabin decision
+        # and every RNG draw, and hence every key, must be the same.
+        def keys(backend):
+            with use_backend(backend):
+                return [
+                    _generate_rsa_keypair_uncached(
+                        DeterministicRng(f"modexp-keygen/{bits}/{seed}"), bits
+                    )
+                    for bits in (512, 1024)
+                    for seed in range(32)
+                ]
+
+        expected = keys(ReferenceBackend())
+        for name in MODEXP_BACKENDS[1:]:
+            with modexp_backend(name) as backend:
+                assert keys(backend) == expected
+
+
+class TestOpenSslModexp:
+    @pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_bin2bn", "BN_mod_exp", "BN_bn2binpad"])
+    def test_bignum_failure_raises_and_frees(self, failing):
+        """A failing ``BN_*`` call raises ``CryptoError``, and every bignum
+        and context allocated for the call is freed."""
+        live = set()
+        handles = iter(range(1, 100))
+
+        def alloc(*_args):
+            handle = next(handles)
+            live.add(handle)
+            return handle
+
+        def free(handle):
+            live.discard(handle)
+
+        functions = {
+            "BN_CTX_new": alloc,
+            "BN_CTX_free": free,
+            "BN_new": alloc,
+            "BN_clear_free": free,
+            "BN_bin2bn": alloc,
+            "BN_bn2binpad": lambda _bn, _out, size: size,
+            "BN_mod_exp": lambda *_args: 1,
+        }
+        functions[failing] = lambda *_args: 0
+        bignum = backend_module._OpenSslBignum(SimpleNamespace(**functions))
+        with pytest.raises(CryptoError):
+            bignum.mod_exp(3, 5, 7)
+        assert live == set()
 
 
 class TestRegistry:

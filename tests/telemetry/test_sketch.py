@@ -159,3 +159,91 @@ class TestAggregation:
         combined = aggregate_run_metrics({**runs_a, **runs_b})["m"]
         assert merged.count == combined.count
         assert merged.quantile(0.5) == combined.quantile(0.5)
+
+
+class TestRunIsolationCheck:
+    """Each branch of ``Telemetry.run_isolation_violations``."""
+
+    OVERCOUNT = (
+        "run scopes over-count series {series}: per-run deltas sum to {total} "
+        "but the registry holds {held} (concurrent migrations are sharing "
+        "one scope)"
+    )
+
+    @staticmethod
+    def _telemetry():
+        from repro.sim.clock import VirtualClock
+        from repro.sim.trace import EventTrace
+        from repro.telemetry import Telemetry
+
+        clock = VirtualClock()
+        return Telemetry(clock, EventTrace(clock))
+
+    def _overlapping_runs(self, telemetry):
+        """Two runs sharing one interval: each scope sees the other's work."""
+        telemetry.begin_run("a")
+        telemetry.begin_run("b")
+        telemetry.counter("x.total").inc(4)
+        telemetry.histogram("lat_ns").observe(7)
+        telemetry.gauge("g").set(3)
+        telemetry.end_run("a")
+        telemetry.end_run("b")
+
+    def _shrinking_run(self, telemetry):
+        """A run whose counter went down: its delta is negative."""
+        counter = telemetry.counter("y.total")
+        counter.inc(5)
+        telemetry.begin_run("c")
+        counter.value = 3  # no public path can lower a counter
+        telemetry.end_run("c")
+
+    def test_disjoint_runs_are_clean(self):
+        telemetry = self._telemetry()
+        for run_id in ("a", "b"):
+            telemetry.begin_run(run_id)
+            telemetry.counter("x.total").inc(2)
+            telemetry.end_run(run_id)
+        assert telemetry.run_isolation_violations() == []
+
+    def test_overlapping_runs_over_count(self):
+        telemetry = self._telemetry()
+        self._overlapping_runs(telemetry)
+        assert telemetry.run_isolation_violations() == [
+            self.OVERCOUNT.format(series="lat_ns", total=2, held=1),
+            self.OVERCOUNT.format(series="x.total", total=8, held=4),
+        ]
+
+    def test_negative_run_delta(self):
+        telemetry = self._telemetry()
+        self._shrinking_run(telemetry)
+        assert telemetry.run_metrics["c"] == {"y.total": -2}
+        assert telemetry.run_isolation_violations() == [
+            "run scope c: series y.total decreased by 2 inside one migration "
+            "(scopes must only ever add)"
+        ]
+
+    def test_registry_reset_skips_the_sum_comparison(self):
+        telemetry = self._telemetry()
+        self._overlapping_runs(telemetry)
+        self._shrinking_run(telemetry)
+        assert len(telemetry.run_isolation_violations()) == 3
+        telemetry.metrics.reset()
+        # The registry no longer holds what the closed runs added, so
+        # only the per-run sign check remains.
+        assert telemetry.run_isolation_violations() == [
+            "run scope c: series y.total decreased by 2 inside one migration "
+            "(scopes must only ever add)"
+        ]
+        telemetry.begin_run("d")
+        telemetry.counter("x.total").inc(1)
+        telemetry.end_run("d")
+        assert len(telemetry.run_isolation_violations()) == 1
+
+    def test_reused_run_id_replaces_its_delta(self):
+        telemetry = self._telemetry()
+        self._shrinking_run(telemetry)
+        telemetry.begin_run("c")
+        telemetry.counter("y.total").inc(1)
+        telemetry.end_run("c")
+        assert telemetry.run_metrics["c"] == {"y.total": 1}
+        assert telemetry.run_isolation_violations() == []
