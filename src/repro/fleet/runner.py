@@ -28,6 +28,7 @@ the SLO engine actually fires under load.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from dataclasses import dataclass, field
@@ -412,6 +413,16 @@ class FleetRunner:
     ``on_record`` (if given) is called after every migration completes,
     with the fresh :class:`MigrationRecord` and the runner itself — the
     live console hook.
+
+    Finished members are frozen out of the cyclic garbage collector
+    (``gc.freeze()``) until :meth:`run` returns or raises.  A finished
+    member stays reachable through the invariant-monitor and
+    flight-recorder registries, so a full collection over it frees
+    nothing, yet its two EPCs alone are 65,536 tracked objects that
+    every later full collection would traverse again.  The runner only
+    does this when nothing is frozen at entry; a caller that froze
+    objects itself owns that policy.  Nothing in the program has a
+    finalizer, so when garbage is collected changes no output.
     """
 
     def __init__(
@@ -436,13 +447,20 @@ class FleetRunner:
     # ------------------------------------------------------------------- run
     def run(self) -> FleetReport:
         otlp_sample = None
-        for index in range(self.config.n):
-            record, traces_doc = self._run_one(index)
-            if index == 0:
-                otlp_sample = traces_doc
-            self.records.append(record)
-            if self.on_record is not None:
-                self.on_record(record, self)
+        freeze = gc.get_freeze_count() == 0
+        try:
+            for index in range(self.config.n):
+                record, traces_doc = self._run_one(index)
+                if index == 0:
+                    otlp_sample = traces_doc
+                self.records.append(record)
+                if self.on_record is not None:
+                    self.on_record(record, self)
+                if freeze:
+                    gc.freeze()
+        finally:
+            if freeze:
+                gc.unfreeze()
         if self.hosts is not None:
             # Hard invariants of the contention plane: no host may ever
             # exceed a capacity, and every record's wall time must be

@@ -1,5 +1,6 @@
 """Fleet runner: determinism, admission model, SLO wiring, ratchet file."""
 
+import gc
 import json
 
 import pytest
@@ -335,3 +336,61 @@ class TestFleetKeys:
             "source": "11ae6cd4d9bdc8ceb97fe6cc816ac8b111a1bc3271d894a9a51ceda13f39be5c",
             "target": "df6c70720616e7025b56c5f5d1b3a8a0b5aabac9a08aac23cd916bb6158b1bb6",
         }
+
+
+class TestGcFreeze:
+    """Finished members are frozen out of the cyclic collector while the
+    fleet runs, and the caller's freeze count is restored afterwards."""
+
+    CONFIG = FleetConfig(n=3, seeds=(1, 2), max_inflight=2)
+    PROGRAM_ID = "fleet/counter-v1"
+
+    def _freeze_counts_seen_by_on_record(self):
+        seen = []
+        FleetRunner(
+            self.CONFIG, on_record=lambda record, _: seen.append(gc.get_freeze_count())
+        ).run()
+        return seen
+
+    def test_finished_members_are_frozen_until_run_returns(self):
+        assert gc.get_freeze_count() == 0
+        seen = self._freeze_counts_seen_by_on_record()
+        # The freeze lands after a member's on_record has returned.
+        assert seen[0] == 0
+        assert all(count > 0 for count in seen[1:])
+        assert gc.get_freeze_count() == 0
+
+    def test_a_caller_freeze_is_left_alone(self, monkeypatch):
+        from repro.crypto import use_backend
+        from repro.sdk.program import _REGISTRY
+
+        # A frozen object that is freed lowers the count.  Member 0 would
+        # replace the program an earlier fleet registered, and the fast
+        # backend's cipher cache evicts; keep both out of the picture.
+        monkeypatch.delitem(_REGISTRY, self.PROGRAM_ID, raising=False)
+        gc.collect()
+        gc.freeze()
+        try:
+            entry = gc.get_freeze_count()
+            with use_backend("reference"):
+                seen = self._freeze_counts_seen_by_on_record()
+            assert seen == [entry] * self.CONFIG.n
+            assert gc.get_freeze_count() == entry
+        finally:
+            gc.unfreeze()
+
+    def test_a_member_that_raises_still_unfreezes(self, monkeypatch):
+        run_one = FleetRunner._run_one
+        frozen_at_failure = []
+
+        def crash_at_one(self, index):
+            if index == 1:
+                frozen_at_failure.append(gc.get_freeze_count())
+                raise RuntimeError("member 1 crashed")
+            return run_one(self, index)
+
+        monkeypatch.setattr(FleetRunner, "_run_one", crash_at_one)
+        with pytest.raises(RuntimeError, match="member 1 crashed"):
+            FleetRunner(self.CONFIG).run()
+        assert frozen_at_failure[0] > 0
+        assert gc.get_freeze_count() == 0
